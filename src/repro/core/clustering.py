@@ -225,10 +225,12 @@ class IndexShard:
         """Top-k within this shard, with ids translated to global ids.
 
         ``sealed`` optionally overrides the sealed-index scan with a callable
-        ``(queries, k, nprobe) -> (distances, global_ids)`` — the hook the
-        hierarchical searcher uses to route the sealed half through the
-        process pool or early-termination kernels while the delta/tombstone
-        merge below stays identical across worker modes.
+        ``(index, global_ids, queries, k, nprobe) -> (distances, global_ids)``
+        — the hook the hierarchical searcher uses to route the sealed half
+        through the process pool or early-termination kernels while the
+        delta/tombstone merge below stays identical across worker modes. It
+        is handed the snapshotted sealed index and id map, never the live
+        ones a concurrent compaction may have swapped.
 
         Merge contract: sealed candidates occupy the left columns and delta
         candidates the right, so the stable :func:`top_k` resolves exact
@@ -254,16 +256,9 @@ class IndexShard:
             )
         sealed_n = index.ntotal
         if sealed is None:
-
-            def sealed(q, kq, probe):
-                dists, local = index.search(q, kq, nprobe=probe)
-                out = np.full_like(local, -1)
-                valid = local >= 0
-                out[valid] = gids[local[valid]]
-                return dists, out
-
+            sealed = _scan_sealed
         if not tomb_local and delta is None:
-            return sealed(queries, k, nprobe)
+            return sealed(index, gids, queries, k, nprobe)
         tomb_global = (
             gids[np.array(tomb_local, dtype=np.int64)]
             if tomb_local
@@ -271,7 +266,7 @@ class IndexShard:
         )
         t_sealed = sum(1 for t in tomb_local if t < sealed_n)
         t_delta = len(tomb_local) - t_sealed
-        d_s, g_s = sealed(queries, k + t_sealed, nprobe)
+        d_s, g_s = sealed(index, gids, queries, k + t_sealed, nprobe)
         if t_sealed:
             dead = np.isin(g_s, tomb_global)
             d_s = np.where(dead, np.inf, d_s)
@@ -303,6 +298,15 @@ class IndexShard:
         if self.delta is not None:
             total += self.delta.memory_bytes()
         return total
+
+
+def _scan_sealed(index, gids, queries, k, nprobe):
+    """Default sealed half of :meth:`IndexShard.search`: scan, map to global ids."""
+    dists, local = index.search(queries, k, nprobe=nprobe)
+    out = np.full_like(local, -1)
+    valid = local >= 0
+    out[valid] = gids[local[valid]]
+    return dists, out
 
 
 def _build_shard(

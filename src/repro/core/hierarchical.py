@@ -854,24 +854,29 @@ class HierarchicalSearcher:
             sealed = None
             if shard_pool is not None:
                 sid = int(shard.shard_id)
-                sealed = lambda qq, kk, npb: shard_pool.search(sid, qq, kk, nprobe=npb)
+
+                def sealed(index, gids, qq, kk, npb):
+                    return shard_pool.search(sid, qq, kk, nprobe=npb)
+
             elif deep_patience is not None:
                 from ..ann.early_termination import search_with_early_termination
 
-                def sealed(qq, kk, npb):
+                # Reads only the snapshot IndexShard.search hands it, so a
+                # compaction swapping index + ids mid-search cannot mix them.
+                def sealed(index, gids, qq, kk, npb):
                     result = search_with_early_termination(
-                        shard.index, qq, kk, max_nprobe=npb, patience=deep_patience
+                        index, qq, kk, max_nprobe=npb, patience=deep_patience
                     )
                     ids = np.full_like(result.ids, -1)
                     valid = result.ids >= 0
-                    ids[valid] = shard.global_ids[result.ids[valid]]
+                    ids[valid] = gids[result.ids[valid]]
                     return result.distances, ids
 
             if sealed is None:
                 return shard.search(q[hit_q], k, nprobe=nprobe)
             if getattr(shard, "has_mutations", False):
                 return shard.search(q[hit_q], k, nprobe=nprobe, sealed=sealed)
-            return sealed(q[hit_q], k, nprobe)
+            return sealed(shard.index, shard.global_ids, q[hit_q], k, nprobe)
 
         policy = self.policy
         if deadline_at is not None:

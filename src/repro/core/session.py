@@ -19,15 +19,16 @@ the last freshly-routed strides agreed (Jaccard ≥
 ``routing_stability_threshold``), handing the previous stride's
 :class:`~repro.core.router.RoutingDecision` back to the searcher; a fresh
 re-route every ``max_routing_reuse`` strides bounds staleness as the context
-drifts. And passing a :class:`~repro.llm.kvcache.PrefixCache` replays every
-stride's retrieved ids through a real LRU cache *during* the run, so the
-RAGCache baseline's "ideal 100% hit rate" becomes a measured number on the
-session trace (``SessionTrace.prefix_stats``).
+drifts. The RAGCache baseline's "ideal 100% hit rate" is measured by
+replaying the trace's retrieved ids offline
+(:func:`~repro.baselines.ragcache.simulate_cache_hit_rate` over
+:meth:`SessionTrace.stride_results`).
 
-Generation is simulated deterministically: each stride emits tokens sampled
-from the top retrieved chunk mixed with the query's own tokens (a grounded
-"copy mechanism"), which preserves the topical drift real RAG generation
-exhibits without needing a language model.
+Generation is simulated deterministically by :func:`grounded_pseudo_decode`,
+shared with the live serving pipeline: each stride emits tokens sampled from
+the top retrieved chunk mixed with the query's own tokens (a grounded "copy
+mechanism"), which preserves the topical drift real RAG generation exhibits
+without needing a language model.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ import numpy as np
 
 from ..datastore.chunkstore import ChunkStore
 from ..datastore.encoder import SyntheticEncoder
-from ..llm.kvcache import CacheStats, PrefixCache
 from ..obs.metrics import get_registry
 from .hierarchical import HierarchicalSearcher
 from .router import RoutingDecision
@@ -50,6 +50,35 @@ def _jaccard(a: np.ndarray, b: np.ndarray) -> float:
     sb = {int(c) for c in b if c >= 0}
     union = sa | sb
     return len(sa & sb) / len(union) if union else 1.0
+
+
+def grounded_pseudo_decode(
+    rng: np.random.Generator,
+    context: np.ndarray,
+    ids: np.ndarray,
+    chunk_store: ChunkStore,
+    *,
+    stride_tokens: int,
+    grounding: float,
+) -> np.ndarray:
+    """Emit one stride of grounded pseudo-generation.
+
+    ``round(stride_tokens * grounding)`` tokens are drawn from the chunk of
+    the top retrieved id ``ids[0]``, then the rest from the running
+    ``context`` — in that order from ``rng``, which seeded callers rely on.
+    When there is no top chunk (``ids`` empty or ``ids[0] == -1``, a fully
+    degraded retrieval) the whole stride is drawn from the context, so the
+    query keeps drifting.
+    """
+    top_id = int(ids[0]) if len(ids) else -1
+    top_tokens = chunk_store.get(top_id).tokens if top_id >= 0 else ()
+    n_grounded = int(round(stride_tokens * grounding)) if len(top_tokens) else 0
+    parts = []
+    if n_grounded:
+        parts.append(rng.choice(top_tokens, size=n_grounded))
+    if stride_tokens > n_grounded:
+        parts.append(rng.choice(context, size=stride_tokens - n_grounded))
+    return np.concatenate(parts).astype(np.int64)
 
 
 @dataclass
@@ -70,9 +99,6 @@ class SessionTrace:
     """Full record of one strided generation session."""
 
     steps: list[StrideStep] = field(default_factory=list)
-    #: measured prefix-cache counters when the session ran with one
-    #: (the RAGCache "real hit rate", measured instead of assumed)
-    prefix_stats: CacheStats | None = None
 
     @property
     def n_strides(self) -> int:
@@ -104,13 +130,6 @@ class SessionTrace:
         if not self.steps:
             return 0.0
         return float(np.mean([s.routing_reused for s in self.steps]))
-
-    @property
-    def measured_prefix_hit_rate(self) -> float | None:
-        """Real cross-stride KV-prefix hit rate, or None if not measured."""
-        if self.prefix_stats is None:
-            return None
-        return self.prefix_stats.hit_rate
 
     def all_generated_tokens(self) -> np.ndarray:
         if not self.steps:
@@ -145,10 +164,6 @@ class StridedRAGSession:
         ``routing_stability_threshold``), subsequent strides hand the
         previous :class:`RoutingDecision` back to the searcher, re-routing
         freshly every ``max_routing_reuse`` strides to bound staleness.
-    prefix_cache:
-        Optional :class:`~repro.llm.kvcache.PrefixCache`; every stride's
-        retrieved ids are replayed through it live, so the trace reports the
-        *measured* RAGCache hit rate instead of the paper's 100% assumption.
     """
 
     def __init__(
@@ -165,7 +180,6 @@ class StridedRAGSession:
         reuse_routing: bool = False,
         routing_stability_threshold: float = 0.6,
         max_routing_reuse: int = 4,
-        prefix_cache: PrefixCache | None = None,
     ) -> None:
         if stride_tokens <= 0 or context_window <= 0:
             raise ValueError("stride_tokens and context_window must be positive")
@@ -185,23 +199,7 @@ class StridedRAGSession:
         self.reuse_routing = reuse_routing
         self.routing_stability_threshold = routing_stability_threshold
         self.max_routing_reuse = max_routing_reuse
-        self.prefix_cache = prefix_cache
         self._rng = np.random.default_rng(seed)
-
-    def _generate_stride(
-        self, context: np.ndarray, top_chunk_tokens: np.ndarray
-    ) -> np.ndarray:
-        """Emit one stride of grounded pseudo-generation."""
-        n_grounded = int(round(self.stride_tokens * self.grounding))
-        n_context = self.stride_tokens - n_grounded
-        parts = []
-        if n_grounded and len(top_chunk_tokens):
-            parts.append(self._rng.choice(top_chunk_tokens, size=n_grounded))
-        if n_context and len(context):
-            parts.append(self._rng.choice(context, size=n_context))
-        if not parts:
-            raise ValueError("cannot generate from empty context and chunk")
-        return np.concatenate(parts).astype(np.int64)
 
     def run(self, query_tokens: np.ndarray, *, n_strides: int = 8) -> SessionTrace:
         """Execute *n_strides* of the retrieve→generate loop."""
@@ -210,11 +208,7 @@ class StridedRAGSession:
         context = np.asarray(query_tokens, dtype=np.int64)
         if not len(context):
             raise ValueError("query must be non-empty")
-        trace = SessionTrace(
-            prefix_stats=self.prefix_cache.stats
-            if self.prefix_cache is not None
-            else None
-        )
+        trace = SessionTrace()
         prev_routing: RoutingDecision | None = None
         stable = False  # the last two fresh routings agreed
         reuse_run = 0
@@ -248,15 +242,14 @@ class StridedRAGSession:
                 reuse_run = 0
             prev_routing = result.routing
             ids = result.ids[0]
-            if self.prefix_cache is not None:
-                self._replay_prefix_cache(ids)
-            top_id = int(ids[0]) if ids[0] >= 0 else -1
-            top_tokens = (
-                self.chunk_store.get(top_id).tokens
-                if top_id >= 0
-                else np.empty(0, dtype=np.int64)
+            generated = grounded_pseudo_decode(
+                self._rng,
+                context,
+                ids,
+                self.chunk_store,
+                stride_tokens=self.stride_tokens,
+                grounding=self.grounding,
             )
-            generated = self._generate_stride(context, top_tokens)
             trace.steps.append(
                 StrideStep(
                     stride_index=stride,
@@ -269,12 +262,3 @@ class StridedRAGSession:
             context = np.concatenate([context, generated])
         return trace
 
-    def _replay_prefix_cache(self, ids: np.ndarray) -> None:
-        """Feed one stride's retrievals to the live KV-prefix cache model."""
-        for doc in ids:
-            doc = int(doc)
-            if doc < 0:
-                continue
-            if not self.prefix_cache.lookup(doc):
-                chunk = self.chunk_store.get(doc)
-                self.prefix_cache.insert(doc, max(len(chunk.tokens), 1))

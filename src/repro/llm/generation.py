@@ -16,15 +16,21 @@ energy, under the execution disciplines the paper compares:
 
 Retrieval is supplied per stride as a :class:`RetrievalCost`, so monolithic,
 naively split, and Hermes retrieval all plug into the same timeline.
+
+:func:`stride_timeline` is the one place where per-stride stage seconds add
+up to TTFT and E2E. It walks a single cursor over :class:`StrideTiming`
+records and, when tracing, emits the span tree from that same cursor, so the
+root closes at exactly the returned E2E. Both the modelled timeline here
+(:func:`simulate_generation`) and the live serving pipeline
+(:mod:`repro.serving.pipeline`, measured encode/retrieval plus lookahead
+verification and mis-speculation) place their strides through it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
-
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from ..obs.trace import Tracer
 from ..perfmodel.measurements import EncoderCostModel
@@ -120,6 +126,109 @@ class GenerationResult:
         return self.first_retrieval_s / self.ttft_s
 
 
+@dataclass(frozen=True)
+class StrideTiming:
+    """One stride's stage seconds, as placed on the generation timeline.
+
+    ``encode_s`` + ``retrieval_s`` is the query window that produced this
+    stride's context. ``overlapped`` marks a window issued at the start of
+    the previous stride's inference block and run under it; otherwise the
+    window starts when that block ends. ``verify_s`` is an encode paid after
+    the previous block (lookahead verification), and ``wasted_s`` a
+    mis-speculated window that ran under the previous block before this
+    stride's fresh, non-overlapped retrieval. Stride 0 has no previous block:
+    its window always runs first.
+    """
+
+    encode_s: float
+    retrieval_s: float
+    prefill_s: float
+    decode_s: float
+    verify_s: float = 0.0
+    wasted_s: float = 0.0
+    overlapped: bool = False
+
+
+def stride_timeline(
+    strides: Sequence[StrideTiming],
+    *,
+    tracer: Tracer | None = None,
+    encode_worker: str,
+    root: str,
+    **root_attrs: object,
+) -> tuple[float, float]:
+    """Place strides on one virtual timeline; return ``(ttft_s, e2e_s)``.
+
+    Time runs from 0. Stride *i*'s inference block is its prefill + decode;
+    the window of stride *i+1* either runs under that block (overlapped:
+    the cursor advances by ``max(block, encode + retrieval)``) or after it
+    (the cursor advances by ``block + encode + retrieval``), plus any verify
+    encode. TTFT is ``encode + retrieval + prefill`` of stride 0 under every
+    discipline.
+
+    With an enabled ``tracer`` the same cursor emits a root span ``root``
+    (worker ``"timeline"``, carrying ``root_attrs`` plus ``ttft_s`` and
+    ``e2e_s``) with encode spans on ``encode_worker``, retrieval spans on
+    ``"cpu"`` and prefill/decode on ``"gpu"``; the root closes at exactly
+    ``e2e_s``. A stride without an encode of its own (``encode_s == 0``)
+    gets no encode span. A wasted window is drawn under the block it ran
+    beside, clamped to the block's end so same-worker spans stay disjoint
+    (its full length is the ``window_s`` attribute).
+    """
+    if not strides:
+        raise ValueError("a timeline needs at least one stride")
+    span = None
+    if tracer is not None and tracer.enabled:
+        span = tracer.start_span(
+            root, start_s=0.0, worker="timeline", strides=len(strides), **root_attrs
+        )
+
+    def emit(name: str, start: float, end: float, worker: str, **attrs) -> None:
+        if span is not None:
+            tracer.record(
+                name, start_s=start, end_s=end, parent=span, worker=worker, **attrs
+            )
+
+    def window(t: float, stride: int, s: StrideTiming, **attrs) -> float:
+        if s.encode_s:
+            emit("encode", t, t + s.encode_s, encode_worker, stride=stride, **attrs)
+        t += s.encode_s
+        emit("retrieval", t, t + s.retrieval_s, "cpu", stride=stride, **attrs)
+        return t + s.retrieval_s
+
+    t = window(0.0, 0, strides[0])
+    ttft_s = t + strides[0].prefill_s
+    for i, s in enumerate(strides):
+        block = s.prefill_s + s.decode_s
+        emit("prefill", t, t + s.prefill_s, "gpu", stride=i)
+        emit("decode", t + s.prefill_s, t + block, "gpu", stride=i)
+        if i + 1 == len(strides):
+            t += block
+            break
+        nxt = strides[i + 1]
+        if nxt.wasted_s:
+            emit(
+                "retrieval", t, t + min(nxt.wasted_s, block), "cpu",
+                stride=i + 1, speculative=True, wasted=True, window_s=nxt.wasted_s,
+            )
+        if nxt.overlapped:
+            # max(t + block, window end) rather than t + max(block, window):
+            # equal in exact arithmetic, and this way no span the cursor
+            # emitted can end past it by a rounding step.
+            t = max(t + block, window(t, i + 1, nxt, speculative=True))
+        else:
+            t += block
+        if nxt.verify_s:
+            emit("encode", t, t + nxt.verify_s, encode_worker, stride=i + 1, verify=True)
+            t += nxt.verify_s
+        if not nxt.overlapped:
+            t = window(t, i + 1, nxt)
+    if span is not None:
+        span.set(ttft_s=ttft_s, e2e_s=t)
+        span.finish(t)
+    return ttft_s, t
+
+
 def simulate_generation(
     retrieval: RetrievalProvider,
     inference: InferenceModel,
@@ -180,24 +289,26 @@ def simulate_generation(
         for d in decode_costs:
             meter.record("gpu", d.power_w, d.latency_s, label="decoding")
 
-    ttft_s = encode_s + retrieval_costs[0].latency_s + prefill_costs[0].latency_s
-
-    if not config.pipelined:
-        e2e_s = encode_s + retrieval_s + prefill_s + decode_s
-    else:
-        # Stride i's retrieval overlaps stride i-1's prefill+decode.
-        e2e_s = encode_s + retrieval_costs[0].latency_s
-        for i in range(n_strides):
-            inference_block = prefill_costs[i].latency_s + decode_costs[i].latency_s
-            if i + 1 < n_strides:
-                e2e_s += max(inference_block, retrieval_costs[i + 1].latency_s)
-            else:
-                e2e_s += inference_block
-
-    if tracer is not None and tracer.enabled:
-        _emit_generation_trace(
-            tracer, config, encode_s, retrieval_costs, prefill_costs, decode_costs, e2e_s
-        )
+    ttft_s, e2e_s = stride_timeline(
+        [
+            StrideTiming(
+                encode_s=encode_s if i == 0 else 0.0,
+                retrieval_s=r.latency_s,
+                prefill_s=p.latency_s,
+                decode_s=d.latency_s,
+                overlapped=config.pipelined and i > 0,
+            )
+            for i, (r, p, d) in enumerate(
+                zip(retrieval_costs, prefill_costs, decode_costs)
+            )
+        ],
+        tracer=tracer,
+        encode_worker="gpu",
+        root="generation",
+        batch=config.batch,
+        pipelined=config.pipelined,
+        prefix_cached=config.prefix_cached,
+    )
 
     return GenerationResult(
         ttft_s=ttft_s,
@@ -212,94 +323,6 @@ def simulate_generation(
         gpu_energy_j=gpu_energy,
         config=config,
     )
-
-
-def _emit_generation_trace(
-    tracer: Tracer,
-    config: GenerationConfig,
-    encode_s: float,
-    retrieval_costs: list,
-    prefill_costs: list,
-    decode_costs: list,
-    e2e_s: float,
-) -> None:
-    """Reconstruct the strided timeline as a span tree on a virtual clock.
-
-    Time runs from 0; retrieval spans live on worker ``"cpu"``, GPU stages on
-    ``"gpu"``. Under pipelining, stride *i+1*'s retrieval span starts with
-    stride *i*'s prefill — the cross-worker overlap is visible in the trace —
-    and the cursor advances by ``max(inference, retrieval)``, mirroring the
-    latency arithmetic above. The root closes at the final cursor, which
-    equals ``e2e_s`` up to floating-point association order.
-    """
-    n = config.n_strides
-    root = tracer.start_span(
-        "generation",
-        start_s=0.0,
-        worker="timeline",
-        batch=config.batch,
-        strides=n,
-        pipelined=config.pipelined,
-        prefix_cached=config.prefix_cached,
-        e2e_s=e2e_s,
-    )
-    tracer.record("encode", start_s=0.0, end_s=encode_s, parent=root, worker="gpu")
-    t = encode_s
-    if not config.pipelined:
-        for i in range(n):
-            r = retrieval_costs[i].latency_s
-            tracer.record(
-                "retrieval", start_s=t, end_s=t + r, parent=root, worker="cpu", stride=i
-            )
-            t += r
-            p = prefill_costs[i].latency_s
-            tracer.record(
-                "prefill", start_s=t, end_s=t + p, parent=root, worker="gpu", stride=i
-            )
-            t += p
-            d = decode_costs[i].latency_s
-            tracer.record(
-                "decode", start_s=t, end_s=t + d, parent=root, worker="gpu", stride=i
-            )
-            t += d
-        root.finish(t)
-        return
-    r0 = retrieval_costs[0].latency_s
-    tracer.record(
-        "retrieval", start_s=t, end_s=t + r0, parent=root, worker="cpu", stride=0
-    )
-    t += r0
-    for i in range(n):
-        p = prefill_costs[i].latency_s
-        d = decode_costs[i].latency_s
-        block = p + d  # same grouping as the e2e arithmetic above
-        prefill_end = t + p
-        block_end = t + block
-        tracer.record(
-            "prefill", start_s=t, end_s=prefill_end, parent=root, worker="gpu", stride=i
-        )
-        tracer.record(
-            "decode",
-            start_s=prefill_end,
-            end_s=block_end,
-            parent=root,
-            worker="gpu",
-            stride=i,
-        )
-        if i + 1 < n:
-            r = retrieval_costs[i + 1].latency_s
-            tracer.record(
-                "retrieval",
-                start_s=t,
-                end_s=t + r,
-                parent=root,
-                worker="cpu",
-                stride=i + 1,
-            )
-            t += max(block, r)
-        else:
-            t = block_end
-    root.finish(t)
 
 
 def steady_state_throughput_qps(

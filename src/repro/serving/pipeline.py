@@ -40,20 +40,25 @@ execution disciplines are supported (:attr:`PipelineConfig.mode`):
   search with the true query (``pipeline_lookahead_misses_total``), paying
   sequential cost for that stride with the speculative work wasted.
 
-TTFT is identical under all three modes — ``encode + retrieval[0] +
-prefill[0]``, the first two measured live — because the first stride has
-nothing to overlap with. Generation itself is the same deterministic grounded
-pseudo-decode as :class:`~repro.core.session.StridedRAGSession`: each stride
-appends tokens sampled from the top retrieved chunk mixed with the running
-context, so the query genuinely drifts and speculation genuinely risks
-missing.
+The scheduler only decides *what* each stride retrieved and what it cost: it
+runs the retrieval waves, verification, fallback and energy accounting, and
+keeps one :class:`StrideRecord` per stride. *When* things happened is not
+tracked here: each completed request's records go through
+:func:`repro.llm.generation.stride_timeline` — the same cursor the modelled
+timeline uses — which returns its TTFT and E2E and, when tracing is enabled,
+emits its span tree (encode/retrieval on worker ``cpu``, prefill/decode on
+worker ``gpu``) closing at exactly ``e2e_s``, so ``hermes-repro trace e2e``
+shows the cross-worker overlap. TTFT is identical under all three modes —
+``encode + retrieval[0] + prefill[0]``, the first two measured live —
+because the first stride has nothing to overlap with.
 
-Per-request span trees (encode/retrieval on worker ``cpu``, prefill/decode on
-worker ``gpu``) are emitted on the virtual timeline when tracing is enabled,
-so ``hermes-repro trace e2e`` shows the cross-worker overlap; per-stage
-energy is stage power × measured time for the CPU-side stages plus the
-batch-shared modelled :class:`~repro.llm.inference.StageCost` energy for the
-GPU stages.
+Generation itself is :func:`repro.core.session.grounded_pseudo_decode`, the
+same deterministic grounded pseudo-decode :class:`StridedRAGSession` runs:
+each stride appends tokens sampled from the top retrieved chunk mixed with
+the running context, so the query genuinely drifts and speculation genuinely
+risks missing. Per-stage energy is stage power × measured time for the
+CPU-side stages plus the batch-shared modelled
+:class:`~repro.llm.inference.StageCost` energy for the GPU stages.
 """
 
 from __future__ import annotations
@@ -67,9 +72,11 @@ import numpy as np
 
 from ..core.errors import AdmissionRejectedError, DeadlineExceededError
 from ..core.hierarchical import HierarchicalSearcher
+from ..core.session import grounded_pseudo_decode
 from ..datastore.chunkstore import ChunkStore
 from ..datastore.encoder import SyntheticEncoder
 from ..hardware.cpu import XEON_GOLD_6448Y
+from ..llm.generation import StrideTiming, stride_timeline
 from ..llm.inference import InferenceModel
 from ..obs.metrics import get_registry
 from ..obs.trace import Tracer, get_tracer
@@ -271,9 +278,8 @@ class _Request:
     """Mutable per-request scheduler state."""
 
     __slots__ = (
-        "rid", "context", "rng", "t", "records", "hits", "misses",
+        "rid", "context", "rng", "records", "hits", "misses",
         "wasted_s", "cpu_j", "gpu_j", "served", "deadline_at", "shed",
-        "ttft_s", "block_start",
     )
 
     def __init__(self, rid: int, tokens: np.ndarray, seed: int) -> None:
@@ -282,7 +288,6 @@ class _Request:
         if not len(self.context):
             raise ValueError(f"request {rid}: query tokens must be non-empty")
         self.rng = np.random.default_rng(seed)
-        self.t = 0.0  # virtual-timeline cursor (seconds since request start)
         self.records: list = []
         self.hits = 0
         self.misses = 0
@@ -292,8 +297,6 @@ class _Request:
         self.served: ServedQuery | None = None
         self.deadline_at: float | None = None
         self.shed: str | None = None
-        self.ttft_s = 0.0
-        self.block_start = 0.0
 
 
 class _Call:
@@ -369,33 +372,12 @@ class RAGServingPipeline:
     def __exit__(self, *exc_info: object) -> None:
         self.close()
 
-    # -- encoding / generation ----------------------------------------------
+    # -- encoding ------------------------------------------------------------
     def _encode(self, req: _Request) -> tuple:
         """Encode the request's current windowed context; measured."""
         t0 = self._wall()
         emb = self.encoder.encode_tokens(req.context[-self.config.context_window:])
         return emb.astype(np.float32, copy=False), self._wall() - t0
-
-    def _generate(self, req: _Request) -> None:
-        """Grounded pseudo-decode of one stride (drifts the query)."""
-        cfg = self.config
-        served = req.served
-        top_id = int(served.ids[0]) if served is not None and len(served.ids) else -1
-        top_tokens = (
-            self.chunk_store.get(top_id).tokens
-            if top_id >= 0
-            else np.empty(0, dtype=np.int64)
-        )
-        n_grounded = int(round(cfg.stride_tokens * cfg.grounding))
-        n_context = cfg.stride_tokens - n_grounded
-        parts = []
-        if n_grounded and len(top_tokens):
-            parts.append(req.rng.choice(top_tokens, size=n_grounded))
-        if n_context and len(req.context):
-            parts.append(req.rng.choice(req.context, size=n_context))
-        if parts:
-            generated = np.concatenate(parts).astype(np.int64)
-            req.context = np.concatenate([req.context, generated])
 
     # -- retrieval waves -----------------------------------------------------
     def _shed(self, req: _Request, exc: BaseException, registry) -> None:
@@ -494,8 +476,6 @@ class RAGServingPipeline:
         for req in live:
             call = first[req.rid]
             req.served = call.served
-            req.t = call.window_s
-            req.ttft_s = call.window_s + prefill.latency_s
             self._charge_cpu(req, call)
             self._record_stride(req, 0, call, prefill, decode)
 
@@ -503,8 +483,6 @@ class RAGServingPipeline:
         for i in range(cfg.n_strides):
             if not live:
                 break
-            for req in live:
-                req.block_start = req.t
 
             # 1. Overlap modes issue stride i+1's retrieval at block-i start
             #    from the *current* (pre-decode) context — the stale query.
@@ -517,27 +495,32 @@ class RAGServingPipeline:
                 spec = {c.req.rid: c for c in self._submit_wave(calls, registry)}
                 live = [r for r in live if r.shed is None]
 
-            # 2. The inference block advances the modelled GPU clock; the
-            #    pseudo-decode's tokens drift the context for the true query.
+            # 2. The inference block: the pseudo-decode's tokens drift the
+            #    context for the true query; its modelled energy is charged.
             for req in live:
-                self._generate(req)
+                req.context = np.concatenate([
+                    req.context,
+                    grounded_pseudo_decode(
+                        req.rng,
+                        req.context,
+                        req.served.ids,
+                        self.chunk_store,
+                        stride_tokens=cfg.stride_tokens,
+                        grounding=cfg.grounding,
+                    ),
+                ])
                 req.gpu_j += gpu_stride_j
 
             if i + 1 >= cfg.n_strides:
-                for req in live:
-                    req.t = req.block_start + block_s
                 break
 
             # 3. Obtain stride i+1's results per discipline.
             if not overlap:
-                for req in live:
-                    req.t = req.block_start + block_s
                 nxt = self._retrieve_blocking(live, registry)
                 live = [r for r in live if r.shed is None]
                 for req in live:
                     call = nxt[req.rid]
                     req.served = call.served
-                    req.t += call.window_s
                     self._charge_cpu(req, call)
                     self._record_stride(req, i + 1, call, prefill, decode)
                 continue
@@ -556,7 +539,6 @@ class RAGServingPipeline:
                     # verification encode. The true-query embedding is kept
                     # for evaluation only (its cost is not on the timeline).
                     req.served = call.served
-                    req.t = req.block_start + max(block_s, call.window_s)
                     self._charge_cpu(req, call)
                     self._record_stride(
                         req, i + 1, call, prefill, decode,
@@ -573,7 +555,6 @@ class RAGServingPipeline:
                         "speculative stride retrievals verified and reused",
                     ).inc()
                     req.served = call.served
-                    req.t = req.block_start + max(block_s, call.window_s) + verify_s
                     self._record_stride(
                         req, i + 1, call, prefill, decode,
                         speculative=True, verify_s=verify_s, true_query=true_emb,
@@ -606,7 +587,6 @@ class RAGServingPipeline:
                     call = fresh[req.rid]
                     _, verify_s = verify[req.rid]
                     req.served = call.served
-                    req.t = req.block_start + block_s + verify_s + call.wall_s
                     req.cpu_j += cfg.retrieval_power_w * call.wall_s
                     self._record_stride(
                         req, i + 1, call, prefill, decode,
@@ -614,15 +594,9 @@ class RAGServingPipeline:
                         fallback_s=resolved[req.rid].window_s,
                     )
 
-        results = []
-        for req in reqs:
-            result = self._finish_request(req, registry)
-            results.append(result)
-            if tracer.enabled and req.shed is None:
-                self._emit_trace(tracer, result, block_s)
         return PipelineReport(
             mode=cfg.mode,
-            requests=tuple(results),
+            requests=tuple(self._finish_request(r, registry, tracer) for r in reqs),
             gpu_batch=gpu_batch,
             block_s=block_s,
         )
@@ -661,19 +635,43 @@ class RAGServingPipeline:
             )
         )
 
-    def _finish_request(self, req: _Request, registry) -> RequestResult:
+    def _finish_request(self, req: _Request, registry, tracer: Tracer) -> RequestResult:
+        """Place the request's strides on its timeline (traced if completed)."""
+        ttft_s = e2e_s = 0.0
+        if req.records:
+            ttft_s, e2e_s = stride_timeline(
+                [
+                    StrideTiming(
+                        encode_s=rec.encode_s,
+                        retrieval_s=rec.retrieval_s,
+                        prefill_s=rec.prefill_s,
+                        decode_s=rec.decode_s,
+                        verify_s=rec.verify_s,
+                        wasted_s=rec.fallback_s,
+                        overlapped=rec.speculative,
+                    )
+                    for rec in req.records
+                ],
+                tracer=tracer if req.shed is None else None,
+                encode_worker="cpu",
+                root="request",
+                request=req.rid,
+                mode=self.config.mode,
+                lookahead_hits=req.hits,
+                lookahead_misses=req.misses,
+            )
         if req.shed is None:
             registry.histogram(
                 "pipeline_ttft_seconds", "measured time to first token"
-            ).observe(req.ttft_s)
+            ).observe(ttft_s)
             registry.histogram(
                 "pipeline_e2e_seconds", "measured end-to-end request latency"
-            ).observe(req.t)
+            ).observe(e2e_s)
         return RequestResult(
             request_id=req.rid,
             mode=self.config.mode,
-            ttft_s=req.ttft_s,
-            e2e_s=req.t,
+            ttft_s=ttft_s,
+            e2e_s=e2e_s,
             strides=tuple(req.records),
             lookahead_hits=req.hits,
             lookahead_misses=req.misses,
@@ -682,111 +680,3 @@ class RAGServingPipeline:
             gpu_energy_j=req.gpu_j,
             shed=req.shed,
         )
-
-    # -- tracing -------------------------------------------------------------
-    def _emit_trace(self, tracer: Tracer, result: RequestResult, block_s: float) -> None:
-        """Reconstruct the request's timeline as a span tree from t=0.
-
-        Mirrors the cursor arithmetic of :meth:`serve` exactly, so the root
-        closes at ``e2e_s`` (up to float association order) and the
-        cross-worker overlap (cpu retrieval under the gpu inference block)
-        is visible in the Chrome trace. Encode and retrieval live on worker
-        ``cpu`` — they are measured on the host — and prefill/decode on
-        ``gpu``. A wasted speculative window that outlives its block is
-        clamped to the block end on the ``cpu`` track (the full measured
-        window is in the span attrs) so same-worker spans stay disjoint.
-        """
-        cfg = self.config
-        records = result.strides
-        root = tracer.start_span(
-            "request",
-            start_s=0.0,
-            worker="timeline",
-            request=result.request_id,
-            mode=cfg.mode,
-            strides=len(records),
-            ttft_s=result.ttft_s,
-            e2e_s=result.e2e_s,
-            lookahead_hits=result.lookahead_hits,
-            lookahead_misses=result.lookahead_misses,
-        )
-        r0 = records[0]
-        tracer.record(
-            "encode", start_s=0.0, end_s=r0.encode_s, parent=root, worker="cpu"
-        )
-        t = r0.encode_s
-        tracer.record(
-            "retrieval", start_s=t, end_s=t + r0.retrieval_s,
-            parent=root, worker="cpu", stride=0, kind=r0.kind,
-        )
-        t += r0.retrieval_s
-        for i, rec in enumerate(records):
-            block_start = t
-            tracer.record(
-                "prefill", start_s=t, end_s=t + rec.prefill_s,
-                parent=root, worker="gpu", stride=i,
-            )
-            tracer.record(
-                "decode", start_s=t + rec.prefill_s, end_s=t + block_s,
-                parent=root, worker="gpu", stride=i,
-            )
-            if i + 1 >= len(records):
-                t = block_start + block_s
-                break
-            nxt = records[i + 1]
-            if nxt.speculative:
-                # Issued at block start, ran under the block.
-                tracer.record(
-                    "encode", start_s=block_start,
-                    end_s=block_start + nxt.encode_s,
-                    parent=root, worker="cpu", stride=i + 1, speculative=True,
-                )
-                spec_end = block_start + nxt.encode_s + nxt.retrieval_s
-                tracer.record(
-                    "retrieval", start_s=block_start + nxt.encode_s,
-                    end_s=spec_end, parent=root, worker="cpu",
-                    stride=i + 1, kind=nxt.kind, speculative=True,
-                )
-                t = block_start + max(block_s, nxt.encode_s + nxt.retrieval_s)
-                if nxt.verify_s:
-                    tracer.record(
-                        "encode", start_s=t, end_s=t + nxt.verify_s,
-                        parent=root, worker="cpu", stride=i + 1, verify=True,
-                    )
-                    t += nxt.verify_s
-            elif nxt.fallback_s:
-                # Mis-speculation: wasted prefetch under the block (clamped
-                # to the block on the cpu track), then verify encode + fresh
-                # search after the block.
-                tracer.record(
-                    "retrieval", start_s=block_start,
-                    end_s=block_start + min(nxt.fallback_s, block_s),
-                    parent=root, worker="cpu", stride=i + 1,
-                    speculative=True, wasted=True,
-                    measured_window_s=nxt.fallback_s,
-                )
-                t = block_start + block_s
-                tracer.record(
-                    "encode", start_s=t, end_s=t + nxt.verify_s,
-                    parent=root, worker="cpu", stride=i + 1, verify=True,
-                )
-                t += nxt.verify_s
-                tracer.record(
-                    "retrieval", start_s=t, end_s=t + nxt.retrieval_s,
-                    parent=root, worker="cpu", stride=i + 1, kind=nxt.kind,
-                )
-                t += nxt.retrieval_s
-            else:
-                # Sequential: encode + retrieve strictly after the block.
-                t = block_start + block_s
-                tracer.record(
-                    "encode", start_s=t, end_s=t + nxt.encode_s,
-                    parent=root, worker="cpu", stride=i + 1,
-                )
-                t += nxt.encode_s
-                tracer.record(
-                    "retrieval", start_s=t, end_s=t + nxt.retrieval_s,
-                    parent=root, worker="cpu", stride=i + 1, kind=nxt.kind,
-                )
-                t += nxt.retrieval_s
-        root.finish(result.e2e_s)

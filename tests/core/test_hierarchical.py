@@ -182,6 +182,51 @@ class TestEarlyTerminationComposition:
             assert all(int(d) in allowed for d in row if d >= 0)
 
 
+    def test_deep_patience_compaction_inside_snapshot_window(self, monkeypatch):
+        """A compaction swapping a mutated shard's index + ids after
+        IndexShard.search took its snapshot must not leak into the
+        early-termination hook: it scans and maps ids from the snapshot, so
+        no id repeats and the ids match the compacted datastore's."""
+        from repro.ann import early_termination
+        from repro.core.clustering import cluster_datastore
+        from repro.core.config import HermesConfig
+        from repro.datastore.embeddings import make_corpus
+        from repro.datastore.queries import trivia_queries
+
+        corpus = make_corpus(900, n_topics=4, dim=16, seed=5)
+        datastore = cluster_datastore(
+            corpus.embeddings[:800],
+            HermesConfig(n_clusters=4, clusters_to_search=2, nlist=8),
+        )
+        datastore.add_documents(corpus.embeddings[800:])
+        datastore.delete_documents(np.arange(0, 800, 20))
+        queries = trivia_queries(corpus.topic_model, 16).embeddings
+        search = dict(k=10, clusters_to_search=4, deep_nprobe=8, deep_patience=64)
+
+        real = early_termination.search_with_early_termination
+        swapped = []
+
+        def compact_in_window(index, *args, **kwargs):
+            for shard in datastore.shards:
+                if shard.index is index and shard.has_mutations:
+                    shard.compact()
+                    swapped.append(shard.shard_id)
+            return real(index, *args, **kwargs)
+
+        monkeypatch.setattr(
+            early_termination, "search_with_early_termination", compact_in_window
+        )
+        during = HermesSearcher(datastore).search(queries, **search)
+        monkeypatch.undo()
+
+        assert sorted(swapped) == list(range(4))
+        for row in during.ids:
+            live = row[row >= 0]
+            assert len(np.unique(live)) == len(live)
+        after = HermesSearcher(datastore).search(queries, **search)
+        np.testing.assert_array_equal(during.ids, after.ids)
+
+
 class TestExcludeClusters:
     def test_all_shards_excluded_raises_unavailable(self, hermes, small_queries):
         from repro.core.errors import RetrievalUnavailableError

@@ -1,15 +1,21 @@
 """Tests for the strided-generation timeline."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.llm.generation import (
     GenerationConfig,
     RetrievalCost,
+    StrideTiming,
     constant_retrieval,
     simulate_generation,
     steady_state_throughput_qps,
+    stride_timeline,
 )
 from repro.llm.inference import InferenceModel
+from repro.obs.trace import Tracer
+from repro.obs.validate import validate_span_tree
 
 
 @pytest.fixture()
@@ -185,3 +191,86 @@ class TestMeterIntegration:
         provider = constant_retrieval(RetrievalCost(latency_s=0.0, energy_j=0.0))
         simulate_generation(provider, inference, GenerationConfig(), meter=meter)
         assert meter.joules_by_label()["retrieval"] == 0.0
+
+
+SECONDS = st.floats(min_value=0.0, max_value=2.0, allow_nan=False)
+
+
+@st.composite
+def timelines(draw):
+    """Stride 0 plus up to seven strides, each placed one of four ways:
+    after the block, overlapped, a verified lookahead hit, or a
+    mis-speculation (wasted window, verify encode, fresh search)."""
+    strides = []
+    for i in range(draw(st.integers(1, 8))):
+        e, r, p, d, v, w = (draw(SECONDS) for _ in range(6))
+        kind = "sequential" if i == 0 else draw(
+            st.sampled_from(["sequential", "overlapped", "hit", "miss"])
+        )
+        if kind == "sequential":
+            strides.append(StrideTiming(e, r, p, d))
+        elif kind == "overlapped":
+            strides.append(StrideTiming(e, r, p, d, overlapped=True))
+        elif kind == "hit":
+            strides.append(StrideTiming(e, r, p, d, verify_s=v, overlapped=True))
+        else:
+            strides.append(StrideTiming(0.0, r, p, d, verify_s=v, wasted_s=w))
+    return strides
+
+
+def _timeline(strides, tracer=None):
+    return stride_timeline(strides, tracer=tracer, encode_worker="cpu", root="t")
+
+
+class TestStrideTimeline:
+    """Closed forms of the one stride cursor both timelines use."""
+
+    @given(timelines())
+    def test_ttft_is_first_window_plus_prefill(self, strides):
+        ttft, _ = _timeline(strides)
+        first = strides[0]
+        assert ttft == first.encode_s + first.retrieval_s + first.prefill_s
+
+    @given(timelines())
+    def test_e2e_closed_form(self, strides):
+        """E2E = first window + per transition either max(block, window)
+        (overlapped) or block + window, plus the verify encode, + the last
+        block. A mis-speculated stride therefore costs block + verify +
+        fresh retrieval: its wasted window ran under the block for free."""
+        _, e2e = _timeline(strides)
+        expected = strides[0].encode_s + strides[0].retrieval_s
+        for cur, nxt in zip(strides, strides[1:]):
+            block = cur.prefill_s + cur.decode_s
+            window = nxt.encode_s + nxt.retrieval_s
+            step = max(block, window) if nxt.overlapped else block + window
+            expected += step + nxt.verify_s
+        expected += strides[-1].prefill_s + strides[-1].decode_s
+        assert e2e == pytest.approx(expected, rel=1e-12, abs=1e-12)
+
+    @given(st.lists(st.tuples(SECONDS, SECONDS, SECONDS, SECONDS), min_size=1, max_size=8))
+    def test_all_sequential_e2e_is_sum_of_stages(self, stages):
+        _, e2e = _timeline([StrideTiming(*s) for s in stages])
+        assert e2e == pytest.approx(sum(map(sum, stages)), rel=1e-12, abs=1e-12)
+
+    @given(timelines())
+    def test_trace_closes_at_exactly_e2e(self, strides):
+        tracer = Tracer(enabled=True)
+        ttft, e2e = _timeline(strides, tracer)
+        assert _timeline(strides) == (ttft, e2e)
+        (root,) = tracer.finished_roots()
+        validate_span_tree(root)
+        assert root.start_s == 0.0 and root.end_s == e2e
+        assert root.attrs["ttft_s"] == ttft and root.attrs["e2e_s"] == e2e
+        assert max(c.end_s for c in root.children) == e2e
+
+    def test_misspeculation_cost(self):
+        """block 1.0 + verify 0.1 + fresh search 0.3; the 5 s wasted window
+        changes nothing on the clock."""
+        first = StrideTiming(0.2, 0.5, 0.6, 0.4)
+        miss = StrideTiming(0.0, 0.3, 0.6, 0.4, verify_s=0.1, wasted_s=5.0)
+        _, e2e = _timeline([first, miss])
+        assert e2e == pytest.approx(0.2 + 0.5 + 1.0 + 0.1 + 0.3 + 1.0)
+
+    def test_empty_timeline_rejected(self):
+        with pytest.raises(ValueError):
+            _timeline([])
