@@ -387,7 +387,7 @@ class IVFIndex(VectorIndex):
     def warm_scan_state(self) -> None:
         """Precompute every lazy scan structure (compaction, ADC norms,
         pruning radii) so the next search runs entirely warm — used before
-        persistence and before exporting shards to worker processes."""
+        persistence and after every build or compaction."""
         self.compact()
         if self.quantizer.supports_adc(self.metric) and self.quantizer.needs_code_sqnorms(
             self.metric

@@ -229,23 +229,19 @@ def _bench_hierarchical(spec: BenchSpec, data, queries) -> dict:
     datastore = split_datastore_evenly(data, config, seed=spec.seed)
     for shard in datastore.shards:
         shard.index.compact()
-    sequential = HermesSearcher(datastore)
-    threaded = HermesSearcher(datastore, max_workers=spec.hier_clusters)
+    searcher = HermesSearcher(datastore)
     q = queries[: spec.hier_batch]
     m = config.clusters_to_search
 
-    ref = _hierarchical_reference(sequential, q, spec.k, m, spec.hier_deep_nprobe)
-    seq = sequential.search(q)
-    thr = threaded.search(q)
+    ref = _hierarchical_reference(searcher, q, spec.k, m, spec.hier_deep_nprobe)
+    seq = searcher.search(q)
     _assert_equivalent("hierarchical/sequential", ref, (seq.distances, seq.ids))
-    _assert_equivalent("hierarchical/threaded", ref, (thr.distances, thr.ids))
 
     before = _best_of(
-        lambda: _hierarchical_reference(sequential, q, spec.k, m, spec.hier_deep_nprobe),
+        lambda: _hierarchical_reference(searcher, q, spec.k, m, spec.hier_deep_nprobe),
         spec.repeats,
     )
-    after_seq = _best_of(lambda: sequential.search(q), spec.repeats)
-    after_thr = _best_of(lambda: threaded.search(q), spec.repeats)
+    after_seq = _best_of(lambda: searcher.search(q), spec.repeats)
     return {
         "n_clusters": spec.hier_clusters,
         "clusters_to_search": m,
@@ -253,9 +249,7 @@ def _bench_hierarchical(spec: BenchSpec, data, queries) -> dict:
         "deep_nprobe": spec.hier_deep_nprobe,
         "before_s": before,
         "after_sequential_s": after_seq,
-        "after_threaded_s": after_thr,
-        "speedup": before / after_thr,
-        "threading_speedup": after_seq / after_thr,
+        "speedup": before / after_seq,
         "equivalent": True,
     }
 
@@ -328,7 +322,7 @@ def _profile_kernels(spec: BenchSpec, data, queries) -> dict:
     datastore = split_datastore_evenly(data, config, seed=spec.seed)
     for shard in datastore.shards:
         shard.index.warm_scan_state()
-    searcher = HermesSearcher(datastore, max_workers=spec.hier_clusters)
+    searcher = HermesSearcher(datastore)
     q = queries[: spec.hier_batch]
     searcher.search(q)  # warm every lazy structure outside the traced run
     tracer = enable_tracing()
@@ -424,9 +418,8 @@ def _format_report(report: dict) -> str:
     lines.append(
         f"  hierarchical {h['n_clusters']} shards batch={h['batch']}: "
         f"before={h['before_s'] * 1e3:.2f} ms "
-        f"seq={h['after_sequential_s'] * 1e3:.2f} ms "
-        f"threaded={h['after_threaded_s'] * 1e3:.2f} ms "
-        f"(speedup {h['speedup']:.2f}x, threading {h['threading_speedup']:.2f}x)"
+        f"after={h['after_sequential_s'] * 1e3:.2f} ms "
+        f"(speedup {h['speedup']:.2f}x)"
     )
     t = report["tracing"]
     lines.append(

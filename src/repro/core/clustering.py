@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..ann import early_termination
 from ..ann.delta import DeltaIndex
 from ..ann.distances import as_matrix, pairwise_distance, top_k
 from ..ann.ivf import IVFIndex
@@ -51,8 +52,8 @@ class IndexShard:
     index: IVFIndex
     global_ids: np.ndarray
     centroid: np.ndarray
-    #: bumped by every compaction — the signal that sealed storage (and
-    #: therefore any exported process-pool view of it) has been replaced.
+    #: bumped by every compaction — the signal that sealed storage has been
+    #: replaced.
     generation: int = 0
     delta: DeltaIndex | None = None
     #: local ids (spanning sealed + delta rows) deleted since the last
@@ -220,17 +221,15 @@ class IndexShard:
         k: int,
         *,
         nprobe: int | None = None,
-        sealed=None,
+        patience: int | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Top-k within this shard, with ids translated to global ids.
 
-        ``sealed`` optionally overrides the sealed-index scan with a callable
-        ``(index, global_ids, queries, k, nprobe) -> (distances, global_ids)``
-        — the hook the hierarchical searcher uses to route the sealed half
-        through the process pool or early-termination kernels while the
-        delta/tombstone merge below stays identical across worker modes. It
-        is handed the snapshotted sealed index and id map, never the live
-        ones a concurrent compaction may have swapped.
+        ``patience`` switches the sealed-index scan to adaptive early
+        termination (:func:`~repro.ann.early_termination.search_with_early_termination`
+        with ``nprobe`` as its probe cap): probing stops once the top-k has
+        not improved for that many consecutive cells. The delta/tombstone
+        merge below is the same either way.
 
         Merge contract: sealed candidates occupy the left columns and delta
         candidates the right, so the stable :func:`top_k` resolves exact
@@ -255,10 +254,8 @@ class IndexShard:
                 else None
             )
         sealed_n = index.ntotal
-        if sealed is None:
-            sealed = _scan_sealed
         if not tomb_local and delta is None:
-            return sealed(index, gids, queries, k, nprobe)
+            return _scan_sealed(index, gids, queries, k, nprobe, patience)
         tomb_global = (
             gids[np.array(tomb_local, dtype=np.int64)]
             if tomb_local
@@ -266,7 +263,7 @@ class IndexShard:
         )
         t_sealed = sum(1 for t in tomb_local if t < sealed_n)
         t_delta = len(tomb_local) - t_sealed
-        d_s, g_s = sealed(index, gids, queries, k + t_sealed, nprobe)
+        d_s, g_s = _scan_sealed(index, gids, queries, k + t_sealed, nprobe, patience)
         if t_sealed:
             dead = np.isin(g_s, tomb_global)
             d_s = np.where(dead, np.inf, d_s)
@@ -300,9 +297,16 @@ class IndexShard:
         return total
 
 
-def _scan_sealed(index, gids, queries, k, nprobe):
-    """Default sealed half of :meth:`IndexShard.search`: scan, map to global ids."""
-    dists, local = index.search(queries, k, nprobe=nprobe)
+def _scan_sealed(index, gids, queries, k, nprobe, patience):
+    """Sealed half of :meth:`IndexShard.search` on the snapshotted index:
+    scan (full or early-terminating), then map local to global ids."""
+    if patience is None:
+        dists, local = index.search(queries, k, nprobe=nprobe)
+    else:
+        result = early_termination.search_with_early_termination(
+            index, queries, k, max_nprobe=nprobe, patience=patience
+        )
+        dists, local = result.distances, result.ids
     out = np.full_like(local, -1)
     valid = local >= 0
     out[valid] = gids[local[valid]]
@@ -363,8 +367,7 @@ class ClusteredDatastore:
     #: result-preserving by the mutation-equivalence contract and does NOT
     #: bump it (cached answers stay valid); the per-shard
     #: ``IndexShard.generation`` is what moves on compaction — the signal
-    #: that sealed storage (and any exported process-pool view of it) was
-    #: replaced.
+    #: that sealed storage was replaced.
     mutations: int = 0
 
     def __post_init__(self) -> None:

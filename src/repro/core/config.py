@@ -17,6 +17,10 @@ Memory efficiency         size of search indices (via ``n_clusters`` and the
 The defaults are the paper's evaluated operating point: 10 clusters, sample
 nProbe 8, deep nProbe 128, 3 clusters deep-searched, 5 documents retrieved
 with the best 1 prepended after reranking (§5, §6).
+
+Each cluster's index sits on its own node in the paper; that node-level
+parallelism is a cost-model concern (:mod:`repro.perfmodel`), so no field
+here selects an in-process fan-out — the searcher scans routed shards in turn.
 """
 
 from __future__ import annotations
@@ -65,12 +69,6 @@ class HermesConfig:
     #: Training-row cap for codebook quantizers (PQ/OPQ); None trains on the
     #: full shard. Scalar quantizers always see every row.
     quantizer_train_sample: int | None = 16_384
-    #: Deep-search fan-out backend: "thread" scans routed shards on a thread
-    #: pool in-process; "process" ships each shard search to a persistent
-    #: worker-process pool over shared-memory shard views (results are
-    #: bit-identical either way; a crashed worker degrades the query like a
-    #: crashed replica instead of hanging it).
-    search_workers_mode: str = "thread"
 
     def __post_init__(self) -> None:
         if self.n_clusters <= 0:
@@ -102,8 +100,3 @@ class HermesConfig:
             raise ValueError("kmeans_batch_size must be positive")
         if self.quantizer_train_sample is not None and self.quantizer_train_sample <= 0:
             raise ValueError("quantizer_train_sample must be positive (or None)")
-        if self.search_workers_mode not in ("thread", "process"):
-            raise ValueError(
-                "search_workers_mode must be 'thread' or 'process', "
-                f"got {self.search_workers_mode!r}"
-            )

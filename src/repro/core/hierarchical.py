@@ -265,7 +265,8 @@ class ShardCallStats:
 
     ``attempts`` counts issued requests including hedges, so
     ``queries * attempts`` is the work the perfmodel should charge; a
-    healthy un-hedged shard has ``attempts == 1``.
+    healthy un-hedged shard has ``attempts == 1``, and a shard reached after
+    the request budget ran out has ``attempts == 0`` (nothing was issued).
 
     ``latency_s`` is *attempt* time — the time requests to this shard were
     actually in flight, summed across retries — and deliberately excludes
@@ -337,32 +338,15 @@ class HierarchicalSearcher:
         *,
         router: ClusterRouter | None = None,
         config: HermesConfig | None = None,
-        max_workers: int | None = None,
-        workers_mode: str | None = None,
         policy: RetrievalPolicy | None = None,
         health: ShardHealth | None = None,
         tracer: "Tracer | None" = None,
         clock=None,
         sleep=None,
     ) -> None:
-        if max_workers is not None and max_workers <= 0:
-            raise ValueError(f"max_workers must be positive, got {max_workers}")
         self.datastore = datastore
         self.config = config or datastore.config
         self.router = router if router is not None else SampledRouter()
-        self.max_workers = max_workers
-        if workers_mode is None:
-            workers_mode = self.config.search_workers_mode
-        if workers_mode not in ("thread", "process"):
-            raise ValueError(
-                f"workers_mode must be 'thread' or 'process', got {workers_mode!r}"
-            )
-        self.workers_mode = workers_mode
-        #: lazily started process pool (``workers_mode="process"`` only)
-        self._shard_pool = None
-        #: per-shard compaction generations the pool's arrays were exported
-        #: at — a mismatch means the sealed storage changed under the pool
-        self._pool_generations: tuple = ()
         self.policy = policy
         if health is None and policy is not None and policy.breaker_threshold is not None:
             health = ShardHealth(
@@ -396,60 +380,17 @@ class HierarchicalSearcher:
             )
         return exclude
 
-    # -- process-mode shard pool -------------------------------------------
-    def _ensure_shard_pool(self):
-        """Start (once) the worker-process pool backing process-mode search.
-
-        Startup warms every shard and copies its arrays into shared memory;
-        amortised over the searcher's lifetime, per-search traffic is then
-        just the query batch and the top-k block.
-
-        The exported arrays snapshot each shard's *sealed* storage, which
-        compaction replaces wholesale — so a stale pool (any shard's
-        ``generation`` moved since export) is torn down and rebuilt here.
-        Delta inserts and tombstones do not invalidate the pool: they are
-        merged parent-side by ``IndexShard.search``.
-        """
-        generations = tuple(
-            int(getattr(s, "generation", 0)) for s in self.datastore.shards
-        )
-        if self._shard_pool is not None and generations != self._pool_generations:
-            get_registry().counter(
-                "retrieval_pool_rebuilds_total",
-                "process shard pools rebuilt after a compaction generation change",
-            ).inc()
-            self.close()
-        if self._shard_pool is None:
-            from ..ann.parallel import ProcessShardPool
-
-            self._shard_pool = ProcessShardPool(
-                self.datastore.shards, workers=self.max_workers
-            )
-            self._pool_generations = generations
-        return self._shard_pool
-
-    def close(self) -> None:
-        """Release the process pool (no-op in thread mode / if never started)."""
-        pool, self._shard_pool = self._shard_pool, None
-        if pool is not None:
-            pool.close()
-
-    def __enter__(self) -> "HierarchicalSearcher":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
     # -- policy-governed execution -----------------------------------------
     def _attempt_with_deadline(
         self,
         shard_id: int,
         attempt,
         policy: RetrievalPolicy,
+        deadline: float | None,
         executor: ThreadPoolExecutor,
         meta: dict,
     ):
-        """One attempt under a deadline, with an optional hedged duplicate.
+        """One attempt under ``deadline`` seconds, with an optional hedge.
 
         Returns the attempt's value; raises its failure (a
         :class:`ShardTimeoutError` if the deadline elapsed first). A
@@ -457,7 +398,6 @@ class HierarchicalSearcher:
         duplicate work is charged even when the attempt ultimately fails.
         """
         start = time.perf_counter()
-        deadline = policy.deadline_s
 
         def remaining() -> float | None:
             if deadline is None:
@@ -501,11 +441,19 @@ class HierarchicalSearcher:
         policy: RetrievalPolicy,
         executor: ThreadPoolExecutor | None,
         tracer: "Tracer | None" = None,
+        deadline_at: float | None = None,
     ):
         """Run one shard's deep search under the retry/deadline/hedge policy.
 
         Returns ``(value_or_None, ShardCallStats)``; never raises — a
         failed shard degrades the batch instead of aborting it.
+
+        ``deadline_at`` (on this searcher's clock) is the request's absolute
+        budget: every attempt, retries included, is clamped to what is left
+        of it when the attempt starts, so shards searched in turn share one
+        budget instead of each getting all of it. An attempt that would
+        start with the budget already spent is not launched; the shard's
+        outcome is ``"timeout"``.
 
         Each attempt is timed individually *inside* the retry loop, so the
         reported ``latency_s`` is time requests were in flight — retry
@@ -526,6 +474,13 @@ class HierarchicalSearcher:
             budget.deposit()
         value = None
         while True:
+            deadline = policy.deadline_s
+            if deadline_at is not None:
+                left = deadline_at - clock()
+                if left <= 0:
+                    outcome = "timeout"
+                    break
+                deadline = left if deadline is None else min(deadline, left)
             attempts += 1
             meta = {"hedges": 0}
             attempt_start = clock()
@@ -539,7 +494,7 @@ class HierarchicalSearcher:
                             value = attempt()
                         else:
                             value = self._attempt_with_deadline(
-                                shard_id, attempt, policy, executor, meta
+                                shard_id, attempt, policy, deadline, executor, meta
                             )
                     break
                 finally:
@@ -606,7 +561,6 @@ class HierarchicalSearcher:
         deep_nprobe: int | None = None,
         exclude_clusters: "frozenset | set | None" = None,
         deep_patience: int | None = None,
-        parallel: bool | None = None,
         trace: bool = False,
         routing: "RoutingDecision | None" = None,
         deadline_s: float | None = None,
@@ -614,10 +568,11 @@ class HierarchicalSearcher:
         """Route then deep-search a query batch; returns global top-k.
 
         ``deadline_s`` is the request's *remaining end-to-end budget* at call
-        time (seconds). It is accounted against this searcher's clock: after
-        routing, the per-attempt deadline of the deep-search policy is
-        clamped to what is left of the budget, so a 50 ms request never
-        launches a deep search allowed to run 200 ms. A budget that is
+        time (seconds). It is accounted against this searcher's clock: every
+        deep-search attempt is clamped to what is left of the budget when it
+        starts, so a 50 ms request never launches a deep search allowed to
+        run 200 ms, and a shard reached after the budget ran out is reported
+        as timed out without being searched. A budget that is
         already spent (or runs out before the deep phase starts) raises
         :class:`~repro.core.errors.DeadlineExceededError` and counts on
         ``retrieval_deadline_exceeded_total`` — callers under admission
@@ -653,12 +608,12 @@ class HierarchicalSearcher:
         ``deep_patience`` enables adaptive early termination inside each
         shard's deep search (the §7 complementary optimisation): probing
         stops once the shard-local top-k has not improved for that many
-        consecutive cells.
+        consecutive cells. It is passed to every routed shard's
+        ``search``, so fault wrappers and replica failover see it too.
 
-        ``parallel`` fans the per-shard deep searches out over a thread pool
-        (numpy's BLAS kernels release the GIL), mirroring the paper's
-        one-index-per-node parallelism in wall-clock terms. ``None`` enables
-        threading iff the searcher was built with ``max_workers``.
+        Routed shards are searched in turn, one ``shard.search`` call per
+        shard per attempt. The paper's one-index-per-node parallelism is
+        modelled in :mod:`repro.perfmodel`, not emulated with threads here.
         """
         q = as_matrix(queries)
         k = self.config.k if k is None else int(k)
@@ -753,7 +708,6 @@ class HierarchicalSearcher:
                 exclude,
                 breaker_open,
                 deep_patience,
-                parallel,
                 tracer,
                 root,
                 registry,
@@ -779,7 +733,6 @@ class HierarchicalSearcher:
         exclude: frozenset,
         breaker_open: frozenset,
         deep_patience: int | None,
-        parallel: bool | None,
         tracer: Tracer,
         root,
         registry,
@@ -837,52 +790,15 @@ class HierarchicalSearcher:
                 tasks.append((shard, hit_q, hit_slot))
         shard_queries = sum(len(hit_q) for _, hit_q, _ in tasks)
 
-        # Early termination needs the adaptive probe loop in-process; only
-        # plain deep searches fan out to the worker-process pool.
-        shard_pool = (
-            self._ensure_shard_pool()
-            if self.workers_mode == "process" and deep_patience is None and tasks
-            else None
-        )
-
         def deep_search_once(shard, hit_q):
-            # The sealed-half kernel for this worker mode; ``None`` means the
-            # shard's own in-process scan. Either way it returns global ids,
-            # so a live shard can merge its delta/tombstone state parent-side
-            # (IndexShard.search's ``sealed=`` hook) and thread and process
-            # modes stay bit-identical after mutation.
-            sealed = None
-            if shard_pool is not None:
-                sid = int(shard.shard_id)
-
-                def sealed(index, gids, qq, kk, npb):
-                    return shard_pool.search(sid, qq, kk, nprobe=npb)
-
-            elif deep_patience is not None:
-                from ..ann.early_termination import search_with_early_termination
-
-                # Reads only the snapshot IndexShard.search hands it, so a
-                # compaction swapping index + ids mid-search cannot mix them.
-                def sealed(index, gids, qq, kk, npb):
-                    result = search_with_early_termination(
-                        index, qq, kk, max_nprobe=npb, patience=deep_patience
-                    )
-                    ids = np.full_like(result.ids, -1)
-                    valid = result.ids >= 0
-                    ids[valid] = gids[result.ids[valid]]
-                    return result.distances, ids
-
-            if sealed is None:
-                return shard.search(q[hit_q], k, nprobe=nprobe)
-            if getattr(shard, "has_mutations", False):
-                return shard.search(q[hit_q], k, nprobe=nprobe, sealed=sealed)
-            return sealed(shard.index, shard.global_ids, q[hit_q], k, nprobe)
+            return shard.search(q[hit_q], k, nprobe=nprobe, patience=deep_patience)
 
         policy = self.policy
         if deadline_at is not None:
-            # Deadline propagation: the per-attempt deep-search deadline is
-            # whatever is left of the request budget after routing. An
-            # exhausted budget sheds here, before any deep search launches.
+            # Deadline propagation: deep-search attempts run under what is
+            # left of the request budget after routing (and each is clamped
+            # again when it starts, see _run_with_policy). An exhausted
+            # budget sheds here, before any deep search launches.
             remaining = deadline_at - clock()
             if remaining <= 0:
                 registry.counter(
@@ -948,7 +864,13 @@ class HierarchicalSearcher:
                                 return deep_search_once(shard, hit_q)
 
                     value, stats = self._run_with_policy(
-                        sid, len(hit_q), attempt, policy, attempt_pool, tracer
+                        sid,
+                        len(hit_q),
+                        attempt,
+                        policy,
+                        attempt_pool,
+                        tracer,
+                        deadline_at=deadline_at,
                     )
                     shard_span.set(
                         attempts=stats.attempts,
@@ -966,19 +888,7 @@ class HierarchicalSearcher:
                     return hit_q, hit_slot, dists, ids, stats
 
             try:
-                use_threads = (
-                    (self.max_workers is not None) if parallel is None else bool(parallel)
-                )
-                # Process mode always fans out from threads: submissions to
-                # the worker pool are thread-safe and each blocks until its
-                # shard's result ships back, so threads overlap the shards.
-                use_threads = use_threads or shard_pool is not None
-                if use_threads and len(tasks) > 1:
-                    workers = min(self.max_workers or len(tasks), len(tasks))
-                    with ThreadPoolExecutor(max_workers=workers) as pool:
-                        results = list(pool.map(run_task, tasks))
-                else:
-                    results = [run_task(task) for task in tasks]
+                results = [run_task(task) for task in tasks]
             finally:
                 if attempt_pool is not None:
                     # Abandoned hedges/stragglers finish on their own; don't wait.
@@ -1038,7 +948,6 @@ class HermesSearcher(HierarchicalSearcher):
         datastore: ClusteredDatastore,
         *,
         config: HermesConfig | None = None,
-        max_workers: int | None = None,
         policy: RetrievalPolicy | None = None,
         health: ShardHealth | None = None,
         **kwargs,
@@ -1050,7 +959,6 @@ class HermesSearcher(HierarchicalSearcher):
                 sample_nprobe=cfg.sample_nprobe, sample_k=cfg.sample_k
             ),
             config=cfg,
-            max_workers=max_workers,
             policy=policy,
             health=health,
             **kwargs,
@@ -1065,7 +973,6 @@ class ExhaustiveSplitSearcher(HierarchicalSearcher):
         datastore: ClusteredDatastore,
         *,
         config: HermesConfig | None = None,
-        max_workers: int | None = None,
         policy: RetrievalPolicy | None = None,
         health: ShardHealth | None = None,
         **kwargs,
@@ -1074,7 +981,6 @@ class ExhaustiveSplitSearcher(HierarchicalSearcher):
             datastore,
             router=AllRouter(),
             config=config,
-            max_workers=max_workers,
             policy=policy,
             health=health,
             **kwargs,

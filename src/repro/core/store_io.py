@@ -39,6 +39,11 @@ from .clustering import ClusteredDatastore, IndexShard
 from .config import HermesConfig
 
 
+#: Config fields older manifests may carry that no longer exist; dropped on
+#: load so a datastore saved before their removal still opens.
+_RETIRED_CONFIG_KEYS = ("search_workers_mode",)
+
+
 def _atomic_write(path: Path, write) -> None:
     """Run ``write(file_obj)`` against a temp file, then rename into place.
 
@@ -142,6 +147,8 @@ def load_datastore(directory: "str | Path") -> ClusteredDatastore:
     manifest = json.loads(manifest_path.read_text())
     config_dict = dict(manifest["config"])
     config_dict["kmeans_seeds"] = tuple(config_dict["kmeans_seeds"])
+    for key in _RETIRED_CONFIG_KEYS:
+        config_dict.pop(key, None)
     config = HermesConfig(**config_dict)
     shards = []
     for entry in manifest["shards"]:

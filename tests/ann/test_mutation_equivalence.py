@@ -389,44 +389,3 @@ class TestConcurrentMutation:
         for vecs in inserted:
             oracle.insert(vecs)
         assert_shard_matches_oracle(shard, oracle, queries)
-
-
-class TestWorkerModeParity:
-    """Thread and process deep-search paths must agree under mutation."""
-
-    def test_thread_and_process_bit_identical_after_mutation(self):
-        from repro.core.clustering import cluster_datastore
-        from repro.core.config import HermesConfig
-        from repro.core.hierarchical import HermesSearcher
-
-        from repro.datastore.embeddings import make_corpus
-
-        corpus = make_corpus(400, n_topics=4, dim=DIM, seed=9)
-        config = HermesConfig(n_clusters=2, clusters_to_search=2, nlist=4)
-        datastore = cluster_datastore(corpus.embeddings, config)
-        rng = np.random.default_rng(10)
-        fresh = rng.normal(size=(12, DIM)).astype(np.float32)
-        datastore.add_documents(fresh)
-        datastore.delete_documents(rng.choice(400, size=8, replace=False))
-        queries = rng.normal(size=(6, DIM)).astype(np.float32)
-
-        threaded = HermesSearcher(datastore, config=config)
-        base = threaded.search(queries, k=5)
-        with HermesSearcher(
-            datastore, config=config, workers_mode="process"
-        ) as searcher:
-            result = searcher.search(queries, k=5)
-            np.testing.assert_array_equal(base.ids, result.ids)
-            np.testing.assert_array_equal(base.distances, result.distances)
-
-            # Compaction bumps every mutated shard's generation; the process
-            # pool must rebuild its exported view and still agree.
-            generations = [s.generation for s in datastore.shards]
-            assert datastore.compact() > 0
-            assert [s.generation for s in datastore.shards] != generations
-            compacted = threaded.search(queries, k=5)
-            np.testing.assert_array_equal(base.ids, compacted.ids)
-            reloaded = searcher.search(queries, k=5)
-            np.testing.assert_array_equal(compacted.ids, reloaded.ids)
-            np.testing.assert_array_equal(compacted.distances, reloaded.distances)
-        threaded.close()

@@ -120,33 +120,6 @@ class TestParameterValidation:
         with pytest.raises(ValueError, match="deep_nprobe"):
             hermes.search(small_queries.embeddings, deep_nprobe=0)
 
-    def test_zero_max_workers_rejected(self, clustered):
-        with pytest.raises(ValueError, match="max_workers"):
-            HermesSearcher(clustered, max_workers=0)
-
-
-class TestParallelFanout:
-    def test_threaded_matches_sequential(self, clustered, small_queries):
-        sequential = HermesSearcher(clustered)
-        threaded = HermesSearcher(clustered, max_workers=4)
-        a = sequential.search(small_queries.embeddings)
-        b = threaded.search(small_queries.embeddings)
-        np.testing.assert_array_equal(a.ids, b.ids)
-        np.testing.assert_allclose(a.distances, b.distances, rtol=1e-5, atol=1e-5)
-
-    def test_parallel_flag_overrides_construction(self, clustered, small_queries):
-        searcher = HermesSearcher(clustered)
-        a = searcher.search(small_queries.embeddings, parallel=False)
-        b = searcher.search(small_queries.embeddings, parallel=True)
-        np.testing.assert_array_equal(a.ids, b.ids)
-
-    def test_threaded_with_deep_patience(self, clustered, small_queries):
-        sequential = HermesSearcher(clustered)
-        threaded = HermesSearcher(clustered, max_workers=4)
-        a = sequential.search(small_queries.embeddings, deep_patience=4)
-        b = threaded.search(small_queries.embeddings, deep_patience=4)
-        np.testing.assert_array_equal(a.ids, b.ids)
-
 
 class TestExhaustiveSplit:
     def test_searches_all_clusters(self, even_split, small_queries):
@@ -306,17 +279,22 @@ class _BoomShard:
     def __len__(self):
         return len(self._inner)
 
-    def search(self, queries, k, nprobe=None):
+    def search(self, queries, k, nprobe=None, patience=None):
         raise RuntimeError("disk on fire")
 
 
 class TestShardErrorContext:
-    @pytest.mark.parametrize("workers", [1, 4])
+    @pytest.mark.parametrize(
+        "deep_patience",
+        [pytest.param(None, id="no-patience"), 1, 4],
+    )
     def test_deep_search_errors_carry_shard_context(
-        self, clustered, small_queries, workers
+        self, clustered, small_queries, deep_patience
     ):
         """Without a policy the searcher fails fast, but the exception names
-        the shard and the routed query count (the debugging breadcrumbs)."""
+        the shard and the routed query count (the debugging breadcrumbs).
+        Patience searches go through ``shard.search`` too, so they fail the
+        same way."""
         import dataclasses
 
         from repro.core.errors import ShardSearchError
@@ -329,11 +307,13 @@ class TestShardErrorContext:
         broken = dataclasses.replace(clustered, shards=shards)
         # CentroidRouter: sampling never touches shard.search, so the
         # explosion happens in the deep phase where it gets wrapped.
-        searcher = HierarchicalSearcher(
-            broken, router=CentroidRouter(), max_workers=workers
-        )
+        searcher = HierarchicalSearcher(broken, router=CentroidRouter())
         with pytest.raises(ShardSearchError, match=f"shard {boom_id}") as exc:
-            searcher.search(small_queries.embeddings, clusters_to_search=10)
+            searcher.search(
+                small_queries.embeddings,
+                clusters_to_search=10,
+                deep_patience=deep_patience,
+            )
         assert exc.value.shard_id == boom_id
         assert exc.value.n_queries == len(small_queries)
         assert "32 routed queries" in str(exc.value)
@@ -355,14 +335,14 @@ class _TimedFlakyShard:
     def __len__(self):
         return len(self._inner)
 
-    def search(self, queries, k, nprobe=None):
+    def search(self, queries, k, nprobe=None, patience=None):
         self.calls += 1
         self._clock.advance(self._busy_s)
         if self.calls == 1:
             from repro.core.errors import TransientShardError
 
             raise TransientShardError(self._inner.shard_id, "transient blip")
-        return self._inner.search(queries, k, nprobe=nprobe)
+        return self._inner.search(queries, k, nprobe=nprobe, patience=patience)
 
 
 class TestRetryLatencyAccounting:
@@ -447,7 +427,7 @@ class _AlwaysFlakyShard:
     def __len__(self):
         return len(self._inner)
 
-    def search(self, queries, k, nprobe=None):
+    def search(self, queries, k, nprobe=None, patience=None):
         from repro.core.errors import TransientShardError
 
         self.calls += 1
@@ -557,33 +537,126 @@ class TestDeadlineBudget:
         np.testing.assert_array_equal(timed.ids, base.ids)
         np.testing.assert_allclose(timed.distances, base.distances, rtol=1e-5)
 
-
-class TestProcessWorkersMode:
-    """workers_mode="process" fans deep searches out to a worker pool; the
-    transport must be invisible in the results."""
-
-    def test_process_mode_is_bit_identical_to_thread_mode(
+    def test_budget_shared_across_shards_searched_in_turn(
         self, clustered, small_queries
     ):
-        q = small_queries.embeddings
-        base = HermesSearcher(clustered).search(q, k=5)
-        with HermesSearcher(clustered, workers_mode="process") as searcher:
-            assert searcher._shard_pool is None  # pool is lazy
-            result = searcher.search(q, k=5)
-            assert searcher._shard_pool is not None
-        np.testing.assert_array_equal(base.ids, result.ids)
-        np.testing.assert_array_equal(base.distances, result.distances)
+        """Three 0.1 s stragglers against a 0.25 s budget: the third shard
+        only has what the first two left, so it times out and the call
+        returns near the budget. Regression: each shard got the whole
+        post-route budget, so the call ran 0.3 s with every shard ok."""
+        import time
 
-    def test_mode_defaults_from_config(self, clustered):
+        from repro.serving.faults import FaultInjector, Straggler
+
+        slow = FaultInjector(seed=0).wrap(
+            clustered, {s: Straggler(0.1) for s in range(clustered.n_clusters)}
+        )
+        searcher = HierarchicalSearcher(slow, router=CentroidRouter())
+        start = time.perf_counter()
+        result = searcher.search(
+            small_queries.embeddings[:1], clusters_to_search=3, deadline_s=0.25
+        )
+        elapsed = time.perf_counter() - start
+        assert [s.outcome for s in result.shard_stats] == ["ok", "ok", "timeout"]
+        assert result.failed_shards == (result.shard_stats[-1].shard_id,)
+        assert elapsed < 0.3
+
+    def test_shard_reached_with_spent_budget_is_not_searched(
+        self, clustered, small_queries
+    ):
+        """On a manual clock two 0.25 s shards spend a 0.5 s budget exactly:
+        the third routed shard times out without a search being launched."""
         import dataclasses
 
-        cfg = dataclasses.replace(
-            HermesSearcher(clustered).config, search_workers_mode="process"
-        )
-        searcher = HermesSearcher(clustered, config=cfg)
-        assert searcher.workers_mode == "process"
-        searcher.close()  # no pool was ever spawned: close is a no-op
+        from repro.obs.trace import ManualClock
 
-    def test_invalid_mode_rejected(self, clustered):
-        with pytest.raises(ValueError, match="workers_mode"):
-            HierarchicalSearcher(clustered, workers_mode="fibers")
+        clock = ManualClock()
+        timed = []
+        for s in clustered.shards:
+            w = _TimedFlakyShard(s, clock, busy_s=0.25)
+            w.calls = 1  # skip the failure branch: every call succeeds
+            timed.append(w)
+        searcher = HierarchicalSearcher(
+            dataclasses.replace(clustered, shards=timed),
+            router=CentroidRouter(),
+            clock=clock,
+        )
+        result = searcher.search(
+            small_queries.embeddings[:1], clusters_to_search=3, deadline_s=0.5
+        )
+        first, second, third = result.shard_stats
+        assert (first.outcome, second.outcome) == ("ok", "ok")
+        assert third.outcome == "timeout"
+        assert third.attempts == 0
+        assert timed[third.shard_id].calls == 1  # never called
+        assert result.failed_shards == (third.shard_id,)
+
+
+class _CountingShard:
+    """Wraps a shard and counts its ``search`` calls."""
+
+    def __init__(self, inner):
+        self._inner = inner
+        self.calls = 0
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+    def __len__(self):
+        return len(self._inner)
+
+    def search(self, queries, k, **kwargs):
+        self.calls += 1
+        return self._inner.search(queries, k, **kwargs)
+
+
+@pytest.fixture(scope="module")
+def small_stores():
+    """A frozen and a mutated (delta rows + tombstones) 4-shard datastore."""
+    from repro.core.clustering import cluster_datastore
+    from repro.core.config import HermesConfig
+    from repro.datastore.embeddings import make_corpus
+    from repro.datastore.queries import trivia_queries
+
+    corpus = make_corpus(900, n_topics=4, dim=16, seed=5)
+    config = HermesConfig(n_clusters=4, clusters_to_search=2, nlist=8)
+    frozen = cluster_datastore(corpus.embeddings[:800], config)
+    mutated = cluster_datastore(corpus.embeddings[:800], config)
+    mutated.add_documents(corpus.embeddings[800:])
+    mutated.delete_documents(np.arange(0, 800, 20))
+    assert all(s.has_mutations for s in mutated.shards)
+    queries = trivia_queries(corpus.topic_model, 16).embeddings
+    return {False: frozen, True: mutated}, queries
+
+
+class TestDeepSearchThroughShard:
+    """The deep phase is one path: ``shard.search`` once per routed shard per
+    attempt, whatever the patience or mutation state, so wrappers (fault
+    injection, replica failover) always see the call."""
+
+    @pytest.mark.parametrize("mutated", [False, True])
+    @pytest.mark.parametrize("patience", [None, 4])
+    @pytest.mark.parametrize("with_policy", [False, True])
+    def test_one_search_call_per_routed_shard(
+        self, small_stores, mutated, patience, with_policy
+    ):
+        import dataclasses
+
+        from repro.core.hierarchical import RetrievalPolicy
+
+        stores, queries = small_stores
+        store = stores[mutated]
+        counting = [_CountingShard(s) for s in store.shards]
+        searcher = HierarchicalSearcher(
+            dataclasses.replace(store, shards=counting),
+            router=CentroidRouter(),
+            policy=RetrievalPolicy(deadline_s=30.0) if with_policy else None,
+        )
+        result = searcher.search(
+            queries, k=5, clusters_to_search=2, deep_nprobe=8, deep_patience=patience
+        )
+        routed = {int(c) for c in np.unique(result.routing.clusters)}
+        assert result.failed_shards == ()
+        assert {s.shard_id: s.calls for s in counting} == {
+            s.shard_id: int(s.shard_id in routed) for s in counting
+        }

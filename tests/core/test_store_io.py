@@ -55,18 +55,17 @@ class TestDatastoreRoundTrip:
             assert shard.index._code_radii is not None
             assert len(shard.index._code_radii) == shard.index.ntotal
 
-    def test_workers_mode_config_round_trips(self, clustered, tmp_path):
-        import dataclasses
+    def test_manifest_with_retired_workers_mode_loads(self, clustered, tmp_path):
+        # Manifests written while HermesConfig still had search_workers_mode
+        # carry that key; loading drops it instead of raising TypeError.
+        save_datastore(clustered, tmp_path / "store")
+        manifest_path = tmp_path / "store" / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["config"]["search_workers_mode"] = "process"
+        manifest_path.write_text(json.dumps(manifest))
 
-        store = dataclasses.replace(
-            clustered,
-            config=dataclasses.replace(
-                clustered.config, search_workers_mode="process"
-            ),
-        )
-        save_datastore(store, tmp_path / "store")
         loaded = load_datastore(tmp_path / "store")
-        assert loaded.config.search_workers_mode == "process"
+        assert loaded.config == clustered.config
 
     def test_missing_manifest_raises(self, tmp_path):
         with pytest.raises(FileNotFoundError):

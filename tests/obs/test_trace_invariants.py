@@ -155,15 +155,6 @@ class TestTracedRetrieval:
         assert {s.attrs["shard"] for s in shard_spans} == routed
         assert all(s.worker == f"shard{s.attrs['shard']}" for s in shard_spans)
 
-    def test_threaded_fanout_also_validates(self, clustered, small_queries):
-        """Parallel shard spans overlap in time but live on distinct
-        workers, so the same-worker serialization invariant still holds."""
-        tracer = Tracer(enabled=True)
-        searcher = HermesSearcher(clustered, max_workers=4, tracer=tracer)
-        result = searcher.search(small_queries.embeddings, clusters_to_search=3)
-        assert validate_trace(tracer.finished_roots()) > 0
-        assert result.trace is not None
-
     def test_opt_in_trace_flag(self, clustered, small_queries):
         """``search(trace=True)`` yields a validated local trace even with
         the process-wide tracer disabled."""
